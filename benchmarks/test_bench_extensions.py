@@ -5,15 +5,13 @@
 * local-search improvement on top of MWF — how much of the GA's gain a
   cheap deterministic pass recovers;
 * dynamic-policy comparison along a drift trajectory;
-* DAG allocation at scenario-1 parameters.
+* worth retention under surge per heuristic.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.dag import allocate_dags, generate_dag_system
 from repro.dynamic import (
     RemapPolicy,
     RepairPolicy,
@@ -85,19 +83,6 @@ def test_dynamic_policies(benchmark):
     for run_ in runs.values():
         assert 0.0 < run_.worth_retention() <= 1.0 + 1e-9
     assert runs["shed"].total_moved == 0
-
-
-def test_dag_allocation(benchmark):
-    system = generate_dag_system(
-        SCENARIO_1.scaled(n_strings=25, n_machines=4), seed=5
-    )
-    outcome = benchmark.pedantic(
-        lambda: allocate_dags(system), rounds=1, iterations=1
-    )
-    benchmark.extra_info["worth"] = outcome.total_worth()
-    benchmark.extra_info["mapped"] = len(outcome.mapped_ids)
-    assert outcome.report.feasible
-    assert outcome.total_worth() > 0
 
 
 def test_surge_curves(benchmark, bench_tiny):

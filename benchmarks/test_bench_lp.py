@@ -2,14 +2,15 @@
 
 The paper's Lingo runs solved the full-scale LP in under two seconds;
 these benchmarks track our HiGHS substitute at two scales plus the
-in-house simplex on a small instance (the cross-validation path).
+in-house dense simplex on a small instance (the cross-validation
+reference).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.lp import build_upper_bound_lp, upper_bound
+from repro.lp import build_upper_bound_lp, solve_dense_lp, upper_bound
 from repro.workload import SCENARIO_1, SCENARIO_3, generate_model
 
 
@@ -34,13 +35,12 @@ def test_lp_solve_simplex_tiny(benchmark):
     model = generate_model(
         SCENARIO_1.scaled(n_strings=4, n_machines=3), seed=4
     )
-    result = benchmark.pedantic(
-        lambda: upper_bound(model, objective="partial", solver="simplex"),
-        rounds=1,
-        iterations=1,
+    problem = build_upper_bound_lp(model, objective="partial")
+    x = benchmark.pedantic(
+        lambda: solve_dense_lp(problem), rounds=1, iterations=1
     )
-    reference = upper_bound(model, objective="partial", solver="highs")
-    assert result.value == pytest.approx(reference.value, rel=1e-6)
+    reference = upper_bound(model, objective="partial")
+    assert float(problem.c @ x) == pytest.approx(reference.value, rel=1e-6)
 
 
 def test_lp_solve_complete_scenario3(benchmark):

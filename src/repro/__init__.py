@@ -24,7 +24,6 @@ paper-to-module map.
 from . import (
     analysis,
     core,
-    dag,
     des,
     dynamic,
     experiments,
@@ -32,7 +31,6 @@ from . import (
     heuristics,
     io_utils,
     lp,
-    pools,
     robustness,
     service,
     workload,
@@ -60,7 +58,6 @@ __all__ = [
     "analysis",
     "analyze",
     "core",
-    "dag",
     "des",
     "dynamic",
     "experiments",
@@ -69,7 +66,6 @@ __all__ = [
     "io_utils",
     "is_feasible",
     "lp",
-    "pools",
     "robustness",
     "service",
     "workload",

@@ -172,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--objective", choices=("partial", "complete"),
                    default="partial")
-    p.add_argument("--solver", choices=("highs", "simplex"), default="highs")
 
     p = sub.add_parser("surge", help="max absorbable workload surge")
     p.add_argument("--model", required=True)
@@ -921,9 +920,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     if args.command == "ub":
         model = load_model(args.model)
-        result = upper_bound(
-            model, objective=args.objective, solver=args.solver
-        )
+        result = upper_bound(model, objective=args.objective)
         label = "total worth" if args.objective == "partial" else "slackness Λ"
         print(f"upper bound ({label}): {result.value:.6g}")
         print(f"mean string fraction: {result.string_fractions.mean():.4f}")

@@ -116,8 +116,8 @@ class SanitizeAllocationState(AllocationState):
         self._soa = JitAllocationState(model, tol, profile_cache)
         self._rec = RecordAllocationState(model, tol, profile_cache)
         # Alias the soa views; they survive restore (copyto), so the
-        # inherited slackness()/machine_util_if()/route_util_if() read
-        # live data without extra indirection.
+        # inherited slackness() reads live data without extra
+        # indirection.
         self.machine_util = self._soa.machine_util
         self.route_util = self._soa.route_util
         self._verify("init")

@@ -7,12 +7,6 @@ RPR014).
 """
 
 from .atomic import atomic_write_bytes, atomic_write_text, fsync_dir
-from .dag_serialize import (
-    dag_system_from_dict,
-    dag_system_to_dict,
-    load_dag_system,
-    save_dag_system,
-)
 from .serialize import (
     allocation_from_dict,
     allocation_to_dict,
@@ -30,10 +24,6 @@ __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "fsync_dir",
-    "dag_system_from_dict",
-    "dag_system_to_dict",
-    "load_dag_system",
-    "save_dag_system",
     "load_allocation",
     "load_model",
     "model_from_dict",

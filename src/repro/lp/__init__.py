@@ -2,7 +2,7 @@
 
 * :func:`build_upper_bound_lp` — the sparse formulation (constraints
   a–g, both objectives).
-* :func:`upper_bound` — solve and extract the bound (HiGHS by default).
+* :func:`upper_bound` — solve with HiGHS and extract the bound.
 * :mod:`~repro.lp.simplex` — self-contained dense simplex for small
   instances and cross-validation.
 """

@@ -274,7 +274,7 @@ def solve_dense_lp(problem: LPProblem) -> np.ndarray:
     if problem.n_vars > SIZE_GUARD:
         raise SolverError(
             f"{problem.n_vars} variables exceed the dense-simplex guard "
-            f"({SIZE_GUARD}); use solver='highs'"
+            f"({SIZE_GUARD}); use HiGHS (repro.lp.solve_lp)"
         )
     A, b, c, recover = _standardize(problem)
     result = simplex_min(A, b, c)

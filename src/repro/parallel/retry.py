@@ -9,10 +9,9 @@ deadline, and :func:`backoff_delays` exposes the bare schedule for
 callers that manage their own retry loop (the
 :class:`~repro.parallel.supervisor.SupervisedPool` does).
 
-This module is the shared home for both consumers: the online service
-(:mod:`repro.service`, which re-exports it from its historical
-``repro.service.retry`` path) and the supervised process pool
-(:mod:`repro.parallel.supervisor`).
+This module is the shared home for both consumers: the online service's
+solver cascade (:mod:`repro.service.cascade`) and the supervised
+process pool (:mod:`repro.parallel.supervisor`).
 
 Randomness flows through an injected seeded
 :class:`numpy.random.Generator` (RPR002: no ambient RNG state), and the

@@ -11,8 +11,8 @@ gracefully under pressure:
 * :mod:`repro.service.cascade` — the anytime solver cascade
   (psg → mwf+ls → mwf → tf) under a shrinking deadline, with the GA
   tiers preempted via ``StoppingRules.max_wall_seconds``;
-* :mod:`repro.service.breaker` / :mod:`repro.service.retry` — per-tier
-  circuit breakers and jittered-backoff retries;
+* :mod:`repro.service.breaker` — per-tier circuit breakers (transient
+  tier failures are retried through :mod:`repro.parallel.retry`);
 * :mod:`repro.service.admission` — worth-priority admission queue and
   slack-floor load shedding;
 * :mod:`repro.service.health` — the NORMAL → DEGRADED → CRITICAL state
@@ -36,7 +36,6 @@ durability contract.
 """
 
 from .admission import (
-    AdmissionDecision,
     QueuedRequest,
     RequestQueue,
     plan_shedding,
@@ -88,13 +87,11 @@ from .journal import (
     encode_frame,
     scan_journal,
 )
-from .retry import RetryError, RetryPolicy, backoff_delays, retry_call
 from .soak import SoakConfig, SoakReport, SoakStepRecord, run_soak
 
 __all__ = [
     "DEFAULT_POLICIES",
     "DEFAULT_TIERS",
-    "AdmissionDecision",
     "AttemptRecord",
     "BreakerConfig",
     "BreakerState",
@@ -122,8 +119,6 @@ __all__ = [
     "RecoveryReport",
     "RequestOutcome",
     "RequestQueue",
-    "RetryError",
-    "RetryPolicy",
     "ScenarioConfig",
     "ServiceConfig",
     "SoakConfig",
@@ -134,14 +129,12 @@ __all__ = [
     "StringArrival",
     "StringDeparture",
     "TierSpec",
-    "backoff_delays",
     "build_working_model",
     "encode_frame",
     "event_from_record",
     "event_to_record",
     "generate_scenario",
     "plan_shedding",
-    "retry_call",
     "run_soak",
     "scan_journal",
     "shed_order",

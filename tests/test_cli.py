@@ -103,10 +103,9 @@ class TestUbSurgeSimulate:
         assert main(["ub", "--model", str(model_file)]) == 0
         assert "upper bound" in capsys.readouterr().out
 
-    def test_ub_complete_simplex(self, model_file, capsys):
+    def test_ub_complete(self, model_file, capsys):
         assert main([
-            "ub", "--model", str(model_file),
-            "--objective", "complete", "--solver", "simplex",
+            "ub", "--model", str(model_file), "--objective", "complete",
         ]) == 0
         assert "slackness" in capsys.readouterr().out
 

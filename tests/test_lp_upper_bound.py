@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import SystemModel
 from repro.heuristics import most_worth_first, tightest_first
-from repro.lp import upper_bound
+from repro.lp import build_upper_bound_lp, solve_dense_lp, upper_bound
 from repro.workload import SCENARIO_1, SCENARIO_3, generate_model
 
 from conftest import build_string, uniform_network
@@ -90,20 +90,25 @@ class TestUpperBoundDominatesHeuristics:
                 assert res.fitness.slackness <= ub.value + 1e-6
 
 
+def _dense_simplex_value(model, objective):
+    problem = build_upper_bound_lp(model, objective=objective)
+    return float(problem.c @ solve_dense_lp(problem))
+
+
 class TestSolverAgreement:
     def test_simplex_matches_highs_partial(self):
         params = SCENARIO_1.scaled(n_strings=4, n_machines=3)
         model = generate_model(params, seed=11)
-        a = upper_bound(model, objective="partial", solver="highs")
-        b = upper_bound(model, objective="partial", solver="simplex")
-        assert a.value == pytest.approx(b.value, rel=1e-6)
+        a = upper_bound(model, objective="partial")
+        b = _dense_simplex_value(model, "partial")
+        assert a.value == pytest.approx(b, rel=1e-6)
 
     def test_simplex_matches_highs_complete(self):
         params = SCENARIO_3.scaled(n_strings=3, n_machines=3)
         model = generate_model(params, seed=12)
-        a = upper_bound(model, objective="complete", solver="highs")
-        b = upper_bound(model, objective="complete", solver="simplex")
-        assert a.value == pytest.approx(b.value, rel=1e-6)
+        a = upper_bound(model, objective="complete")
+        b = _dense_simplex_value(model, "complete")
+        assert a.value == pytest.approx(b, rel=1e-6)
 
 
 class TestResultFields:

@@ -1,5 +1,6 @@
 """Tests for small utilities and error paths not covered elsewhere."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -58,13 +59,17 @@ class TestTimedSection:
 
 
 class TestSolveLp:
-    def test_unknown_solver(self):
+    def test_infeasible_problem_raises(self):
         model = generate_model(
             SCENARIO_3.scaled(n_strings=2, n_machines=2), seed=0
         )
         problem = build_upper_bound_lp(model, objective="partial")
-        with pytest.raises(SolverError, match="unknown solver"):
-            solve_lp(problem, solver="gurobi")
+        # Nonnegative rows over nonnegative variables cannot reach -1.
+        infeasible = dataclasses.replace(
+            problem, b_ub=np.full_like(problem.b_ub, -1.0)
+        )
+        with pytest.raises(SolverError, match="HiGHS failed"):
+            solve_lp(infeasible)
 
 
 class TestTraceErrors:

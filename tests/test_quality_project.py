@@ -58,7 +58,13 @@ def test_layer_map_covers_every_shipped_subpackage():
     shipped = {
         p.name for p in src.iterdir() if (p / "__init__.py").exists()
     }
-    assert shipped <= set(LAYERS), shipped - set(LAYERS)
+    # Two-sided: a missing entry leaves a package unlayered, a stale one
+    # keeps a deleted package's rank alive.
+    expected = shipped | {"_version", "cli", "__main__"}
+    assert set(LAYERS) == expected, (
+        f"missing: {sorted(expected - set(LAYERS))}, "
+        f"stale: {sorted(set(LAYERS) - expected)}"
+    )
     assert LAYERS["core"] == 0
     assert LAYERS["core"] < LAYERS["heuristics"] < LAYERS["experiments"]
     assert LAYERS["experiments"] < LAYERS["service"] < LAYERS["cli"]

@@ -16,6 +16,7 @@ from repro.core import analyze
 from repro.core.exceptions import ModelError
 from repro.faults.events import MachineFailure
 from repro.heuristics import get_heuristic
+from repro.parallel import RetryPolicy
 from repro.service import (
     BreakerConfig,
     CascadeConfig,
@@ -27,7 +28,6 @@ from repro.service import (
     HealthState,
     MissionController,
     PlatformFault,
-    RetryPolicy,
     ServiceConfig,
     SolverCascade,
     StatePolicy,

@@ -18,6 +18,7 @@ import pytest
 from repro.core.exceptions import ModelError
 from repro.genitor import StoppingRules
 from repro.genitor.stopping import StopTracker
+from repro.parallel import RetryError, RetryPolicy, backoff_delays, retry_call
 from repro.service import (
     BreakerConfig,
     BreakerState,
@@ -31,15 +32,11 @@ from repro.service import (
     PlatformFault,
     QueuedRequest,
     RequestQueue,
-    RetryError,
-    RetryPolicy,
     ScenarioConfig,
     StringArrival,
     StringDeparture,
-    backoff_delays,
     generate_scenario,
     plan_shedding,
-    retry_call,
     shed_order,
 )
 from repro.workload import SCENARIO_3, generate_model
