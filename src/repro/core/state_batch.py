@@ -386,20 +386,26 @@ class BatchSoaState:
         self._profiles[b] = {}
         self._worth[b] = 0.0
 
+    def _lane_blocks(self, b: int) -> FloatArray:
+        """Lane ``b``'s four blocks as one ``(4, C1*N)`` view.  The
+        dummy row is each block's last, so a scalar flat cell ``ρ*N + z``
+        (``ρ < C``) has the same index here."""
+        return self._buf[b, _SCALAR_ROWS:].reshape(4, -1)
+
     def load_snapshot(self, b: int, snap: SoaStateSnapshot) -> None:
         """Seed lane ``b`` from a scalar SoA snapshot."""
-        C, C1, o = self._C, self._C + 1, _SCALAR_ROWS
+        C = self._C
         lane = self._buf[b]
-        lane[:o] = snap.buf[:o]
-        for blk in range(4):
-            dst = lane[o + blk * C1 : o + blk * C1 + C]
-            dst[:] = snap.buf[o + blk * C : o + (blk + 1) * C]
-            lane[o + blk * C1 + C] = 0.0
-        # Re-derive the pre-multiplied bound rows under this state's
-        # tolerance, exactly as the scalar restore does.
-        bound = 1.0 + self.tol
-        np.multiply(lane[0], bound, out=lane[5])
-        np.multiply(lane[2], bound, out=lane[6])
+        blocks = self._lane_blocks(b)
+        blocks.fill(0.0)
+        blocks[:, snap.fp] = snap.vals
+        lane[:_SCALAR_ROWS] = snap.scalars
+        # As in the scalar restore: the bound rows came with the
+        # snapshot; another tol re-derives them under this state's.
+        if snap.tol != self.tol:
+            bound = 1.0 + self.tol
+            np.multiply(lane[0], bound, out=lane[5])
+            np.multiply(lane[2], bound, out=lane[6])
         self._util[b, :C] = snap.util
         self._util[b, C] = 0.0
         self._mapped[b] = snap.mapped
@@ -409,19 +415,18 @@ class BatchSoaState:
     def lane_snapshot(self, b: int) -> SoaStateSnapshot:
         """Detach lane ``b`` as a scalar-compatible SoA snapshot."""
         C, C1, o = self._C, self._C + 1, _SCALAR_ROWS
-        buf = np.empty((o + 4 * C, self._N))
         lane = self._buf[b]
-        buf[:o] = lane[:o]
-        for blk in range(4):
-            buf[o + blk * C : o + (blk + 1) * C] = (
-                lane[o + blk * C1 : o + blk * C1 + C]
-            )
+        cnt = lane[o + 2 * C1 : o + 2 * C1 + C].reshape(-1)
+        fp = np.flatnonzero(cnt > 0.0)
         return SoaStateSnapshot(
-            buf=buf,
-            util=self._util[b, : self._C].copy(),
+            scalars=lane[:o].copy(),
+            fp=fp,
+            vals=self._lane_blocks(b).take(fp, axis=1),
+            util=self._util[b, :C].copy(),
             mapped=self._mapped[b].copy(),
             profiles=dict(self._profiles[b]),
             worth=self._worth[b],
+            tol=self.tol,
         )
 
     def lane_fitness(self, b: int) -> Fitness:

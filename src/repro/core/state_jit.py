@@ -263,11 +263,7 @@ class JitAllocationState(SoaAllocationState):
             1.0 + self.tol,
         )
         if status == _OK:
-            self._mapped[string_id] = True
-            self._profiles[string_id] = prof
-            self._worth += self.model.strings[string_id].worth
-            self._mapped_cache = None
-            self._csr = None
+            self._note_commit(string_id, prof)
             return True
         value = float(info[2])
         if status == _REJ_STAGE1:

@@ -213,18 +213,7 @@ class ProjectionCache:
         if self.n_nodes <= self.max_nodes:
             return
         target = int(self.max_nodes * prune_target)
-        # Post-order walk: subtree max tick per (parent, key, node).
-        candidates: list[tuple[int, _TrieNode, int]] = []
-
-        def walk(node: _TrieNode) -> int:
-            subtree_tick = node.tick
-            for key, child in node.children.items():
-                child_tick = walk(child)
-                subtree_tick = max(subtree_tick, child_tick)
-                candidates.append((child_tick, node, key))
-            return subtree_tick
-
-        walk(self.root)
+        candidates = _subtree_ticks(self.root)
         candidates.sort(key=lambda c: c[0])
         for _, parent, key in candidates:
             if self.n_nodes <= target:
@@ -257,6 +246,34 @@ class ProjectionCache:
             f"lookups={self.lookups}, "
             f"mean_hit_depth={self.mean_hit_depth:.2f})"
         )
+
+
+def _subtree_ticks(root: _TrieNode) -> list[tuple[int, _TrieNode, int]]:
+    """``(subtree max tick, parent, key)`` for every non-root node, in
+    post-order (children in insertion order, each after its subtree).
+
+    An explicit stack, not recursion: a trie is as deep as the longest
+    ordering prefix, which can exceed Python's recursion limit.
+    """
+    out: list[tuple[int, _TrieNode, int]] = []
+    # Frames: (node, its remaining children, key in parent); ticks[i]
+    # is the running subtree max of stack[i].
+    stack = [(root, iter(root.children.items()), -1)]
+    ticks = [root.tick]
+    while stack:
+        _, children, key = stack[-1]
+        nxt = next(children, None)
+        if nxt is not None:
+            child_key, child = nxt
+            stack.append((child, iter(child.children.items()), child_key))
+            ticks.append(child.tick)
+            continue
+        stack.pop()
+        tick = ticks.pop()
+        if stack:
+            out.append((tick, stack[-1][0], key))
+            ticks[-1] = max(ticks[-1], tick)
+    return out
 
 
 def _count_nodes(node: _TrieNode) -> int:

@@ -133,6 +133,53 @@ class TestProjectionBitIdentity:
         assert all(isinstance(k, str) for k in stats["hit_depth_histogram"])
 
 
+class TestEviction:
+    def test_deep_chain_evicts_without_recursion(self):
+        """A trie deeper than the interpreter's recursion limit (models
+        with more than ~1 000 strings) prunes like any other."""
+        cache = ProjectionCache(max_nodes=1_000)
+        node = cache.root
+        for string_id in range(1_200):
+            node = cache.extend(node, string_id)
+        cache.maybe_evict()
+        assert cache.prunes == 1
+        assert cache.n_nodes == 700
+        depth, node = 0, cache.root
+        while node.children:
+            (node,) = node.children.values()
+            depth += 1
+        assert depth == 700  # equal ticks: deepest nodes go first
+
+    def test_candidate_order_matches_recursive_walk(self):
+        """The explicit-stack walk lists (subtree tick, parent, key) in
+        the recursive post-order, so eviction picks the same victims."""
+        from repro.heuristics.projection_cache import _subtree_ticks
+
+        rng = np.random.default_rng(3)
+        cache = ProjectionCache()
+        nodes = [cache.root]
+        for key in range(300):
+            parent = nodes[int(rng.integers(len(nodes)))]
+            child = cache.extend(parent, key)
+            child.tick = int(rng.integers(50))
+            nodes.append(child)
+
+        def walk(node, out):
+            subtree_tick = node.tick
+            for key, child in node.children.items():
+                child_tick = walk(child, out)
+                subtree_tick = max(subtree_tick, child_tick)
+                out.append((child_tick, node, key))
+            return subtree_tick
+
+        expected = []
+        walk(cache.root, expected)
+        got = _subtree_ticks(cache.root)
+        assert [(t, id(p), k) for t, p, k in got] == [
+            (t, id(p), k) for t, p, k in expected
+        ]
+
+
 class TestProfileCache:
     def test_memoized_profile_matches_compute(self, small_model):
         cache = ProfileCache()

@@ -193,9 +193,11 @@ class TestLaneSnapshotInterop:
         assert batch.lane_fitness(0) == scalar.fitness()
         # and the reverse direction: scalar snapshot -> fresh lane
         batch.load_snapshot(1, scalar.snapshot())
-        np.testing.assert_array_equal(
-            batch.lane_snapshot(1).buf, scalar._buf
-        )
+        reloaded = AllocationState(model, backend="soa")
+        reloaded.restore(batch.lane_snapshot(1))
+        np.testing.assert_array_equal(reloaded._buf, scalar._buf)
+        np.testing.assert_array_equal(reloaded._util, scalar._util)
+        np.testing.assert_array_equal(reloaded._mapped, scalar._mapped)
         assert batch.lane_fitness(1) == scalar.fitness()
 
     def test_reset_lane(self, small_model):

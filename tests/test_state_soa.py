@@ -279,3 +279,155 @@ class TestBackendDispatch:
             )
         finally:
             set_default_state_backend(previous)
+
+
+def _snapshot_nbytes(snap):
+    return sum(
+        a.nbytes
+        for a in (snap.scalars, snap.fp, snap.vals, snap.util, snap.mapped)
+    )
+
+
+class TestSparseSnapshots:
+    """Snapshots store the four per-resource blocks only over the
+    footprint (``count > 0``); restores must still reproduce the dense
+    buffer bit for bit, whatever state they land in."""
+
+    @staticmethod
+    def _capture(state):
+        return (
+            state.snapshot(),
+            state._buf.copy(),
+            state._util.copy(),
+            state._mapped.copy(),
+        )
+
+    @staticmethod
+    def _assert_restored(target, saved):
+        _, buf, util, mapped = saved
+        expected = buf.copy()
+        bound = 1.0 + target.tol
+        np.multiply(expected[0], bound, out=expected[5])
+        np.multiply(expected[2], bound, out=expected[6])
+        if target.tol == saved[0].tol:
+            expected = buf
+        np.testing.assert_array_equal(target._buf, expected)
+        np.testing.assert_array_equal(target._util, util)
+        np.testing.assert_array_equal(target._mapped, mapped)
+
+    @staticmethod
+    def _random_add(state, rng):
+        model = state.model
+        sid = int(rng.integers(model.n_strings))
+        if sid not in state:
+            m = rng.integers(
+                0, model.n_machines, size=model.strings[sid].n_apps
+            )
+            state.try_add(sid, m)
+
+    @pytest.mark.parametrize(
+        "scenario,seed", [(SCENARIO_1, 31), (SCENARIO_3, 32)]
+    )
+    def test_round_trip_bit_exact(self, scenario, seed):
+        model = generate_model(
+            scenario.scaled(n_strings=16, n_machines=4), seed=seed
+        )
+        rng = np.random.default_rng(seed)
+        state = AllocationState(model, backend="soa")
+        other_tol = AllocationState(model, backend="soa", tol=1e-6)
+        saved = [self._capture(state)]
+        kinds = dict.fromkeys(("loaded", "fresh", "removed", "tol"), 0)
+        for _ in range(400):
+            op = rng.random()
+            if op < 0.55:
+                self._random_add(state, rng)
+            elif op < 0.7 and state.mapped_ids:
+                state.remove(int(rng.choice(state.mapped_ids)))
+                if rng.random() < 0.5:
+                    # Restore with the trail dropped by the remove.
+                    k = int(rng.integers(len(saved)))
+                    state.restore(saved[k][0])
+                    self._assert_restored(state, saved[k])
+                    kinds["removed"] += 1
+            elif op < 0.85:
+                saved.append(self._capture(state))
+            else:
+                k = int(rng.integers(len(saved)))
+                fresh = AllocationState(model, backend="soa")
+                fresh.restore(saved[k][0])
+                self._assert_restored(fresh, saved[k])
+                other_tol.restore(saved[k][0])
+                self._assert_restored(other_tol, saved[k])
+                state.restore(saved[k][0])
+                self._assert_restored(state, saved[k])
+                kinds["fresh"] += 1
+                kinds["tol"] += 1
+                kinds["loaded"] += state.n_strings > 0
+        assert all(kinds.values()), kinds
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_nonzero_cells_lie_in_footprint(self, seed):
+        """The invariant the sparse form rests on: no nonzero cell of
+        load/tmax/count/H outside ``count > 0``, and every snapshot's
+        footprint is exactly that set."""
+        model = generate_model(
+            SCENARIO_2.scaled(n_strings=16, n_machines=4), seed=seed
+        )
+        rng = np.random.default_rng(seed)
+        state = AllocationState(model, backend="soa")
+        snaps = [state.snapshot()]
+        for _ in range(300):
+            op = rng.random()
+            if op < 0.6:
+                self._random_add(state, rng)
+            elif op < 0.75 and state.mapped_ids:
+                state.remove(int(rng.choice(state.mapped_ids)))
+            elif op < 0.9:
+                snap = state.snapshot()
+                cells = np.flatnonzero(state._cntT > 0.0)
+                np.testing.assert_array_equal(np.sort(snap.fp), cells)
+                snaps.append(snap)
+            else:
+                state.restore(snaps[int(rng.integers(len(snaps)))])
+            blocks = state._buf[7:].reshape(4, -1)
+            nonzero = (blocks != 0.0).any(axis=0)
+            assert not (nonzero & (state._cntT <= 0.0).ravel()).any()
+
+    def test_snapshot_size_bound(self):
+        """The state-micro MWF allocation (50 strings, 8 machines)
+        snapshots in at most a quarter of the dense 118 000 B, and the
+        ratio shrinks at 16 machines."""
+        from repro.heuristics.mwf import mwf_order
+        from repro.heuristics.ordering import allocate_sequence
+        from repro.workload import get_scenario
+
+        ratios = []
+        for n_machines in (8, 16):
+            params = get_scenario("1").scaled(
+                n_strings=50, n_machines=n_machines
+            )
+            model = generate_model(params, seed=1234)
+            outcome = allocate_sequence(model, mwf_order(model))
+            state = AllocationState(model, backend="soa")
+            for sid in outcome.mapped_ids:
+                assert state.try_add(sid, outcome.state.machines_for(sid))
+            dense = state._buf.nbytes
+            ratios.append(_snapshot_nbytes(state.snapshot()) / dense)
+            if n_machines == 8:
+                assert state.n_strings == 35
+                assert dense == 118_000
+        assert ratios[0] <= 0.25
+        assert ratios[1] < ratios[0]
+
+    def test_restore_rejects_other_model_shape(self):
+        small, large = (
+            generate_model(SCENARIO_1.scaled(n_strings=8, n_machines=m), seed=5)
+            for m in (3, 4)
+        )
+        state = AllocationState(large, backend="soa")
+        state.try_add(0, [0] * large.strings[0].n_apps)
+        before = state._buf.copy()
+        foreign = AllocationState(small, backend="soa").snapshot()
+        with pytest.raises(ValueError):
+            state.restore(foreign)
+        np.testing.assert_array_equal(state._buf, before)
